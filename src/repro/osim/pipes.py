@@ -8,7 +8,7 @@ message-preserving and cheap; their cost is a fixed per-message latency.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..sim.channel import Channel
 from ..sim.events import Event
@@ -27,13 +27,23 @@ class PipeEnd:
         self.sim = sim
         self._channel = channel
         self.writable = writable
+        #: Write end only: a one-shot callback run once the next message is
+        #: written, so a reader that polls can sleep until there is data.
+        #: An attribute of the pipe, not an entry in a global table, so a
+        #: dropped pipe takes its callback with it.
+        self.on_put: Optional[Callable[[], None]] = None
 
     def send(self, msg: Any):
         """Sub-generator: write one message."""
         if not self.writable:
             raise RuntimeError("send on the read end of a pipe")
         yield self.sim.timeout(PIPE_LATENCY)
-        yield self._channel.send(msg)
+        ev = self._channel.send(msg)
+        on_put = self.on_put
+        if on_put is not None:
+            self.on_put = None
+            on_put()
+        yield ev
 
     def recv(self) -> Event:
         """Event that succeeds with the next message."""
@@ -77,9 +87,12 @@ class DuplexPipe:
     """
 
     class Endpoint:
-        def __init__(self, out_end: PipeEnd, in_end: PipeEnd):
+        def __init__(self, out_end: PipeEnd, in_end: PipeEnd, in_writer: PipeEnd):
             self._out = out_end
             self._in = in_end
+            #: The peer's write end of this endpoint's inbound pipe: where a
+            #: reader arms :attr:`PipeEnd.on_put`.
+            self.inbound = in_writer
 
         def send(self, msg: Any):
             yield from self._out.send(msg)
@@ -105,5 +118,5 @@ class DuplexPipe:
     def __init__(self, sim: "Simulator", name: str = "dpipe"):
         fwd = UnixPipe(sim, name=f"{name}.fwd")
         bwd = UnixPipe(sim, name=f"{name}.bwd")
-        self.a = DuplexPipe.Endpoint(fwd.write_end, bwd.read_end)
-        self.b = DuplexPipe.Endpoint(bwd.write_end, fwd.read_end)
+        self.a = DuplexPipe.Endpoint(fwd.write_end, bwd.read_end, bwd.write_end)
+        self.b = DuplexPipe.Endpoint(bwd.write_end, fwd.read_end, fwd.write_end)

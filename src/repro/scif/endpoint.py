@@ -210,9 +210,10 @@ class ScifEndpoint:
         peer = self.peer
         if peer is None or peer.closed:
             raise ConnectionReset(f"ep{self.eid}: peer gone")
-        for link, direction in _segments(self.os, peer.os):
+        segments = _segments(self.os, peer.os)
+        for link, direction in segments:
             yield from link.message(direction, nbytes)
-        if not _segments(self.os, peer.os):
+        if not segments:
             yield self.sim.timeout(1e-6)  # loopback
         self._m_msgs.inc()
         yield peer._rx.send(msg)

@@ -9,7 +9,6 @@ restored yields a *different* offset. That detail forces Snapify's
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from ..hw.node import ServerNode
@@ -26,7 +25,8 @@ class RdmaRegistry:
 
     def __init__(self, os: "OSInstance"):
         self.os = os
-        self._next = itertools.count(0x1_0000)
+        #: Next free page number; every window also skips one guard page.
+        self._next = 0x1_0000
 
     @staticmethod
     def of(os: "OSInstance") -> "RdmaRegistry":
@@ -38,10 +38,9 @@ class RdmaRegistry:
 
     def allocate_offset(self, nbytes: int) -> int:
         pages = max(1, (nbytes + _PAGE - 1) // _PAGE)
-        base = next(self._next)
+        base = self._next
         # Advance past the window so offsets never collide.
-        for _ in range(pages):
-            next(self._next)
+        self._next = base + pages + 1
         return base * _PAGE
 
 

@@ -31,6 +31,7 @@ interleaving).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -176,7 +177,10 @@ class Timeout(Event):
     The name is the static string ``"timeout"`` rather than an interpolated
     ``timeout(1.5)`` — timer storms allocate millions of these and the
     f-string was measurable on the hot path. ``repr()`` still shows the
-    delay for debugging.
+    delay for debugging. For the same reason the constructor sets the slots
+    and pushes its heap entry itself instead of calling ``Event.__init__``
+    and ``Simulator.schedule``; the entry and its one ``next(sim._seq)``
+    draw are exactly what ``schedule`` would push.
     """
 
     __slots__ = ("delay",)
@@ -184,9 +188,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
-        super().__init__(sim, name="timeout")
+        self.sim = sim
+        self.name = "timeout"
+        self._state = PENDING
+        self._value = None
+        self._exc = None
+        self._callbacks = None
         self.delay = delay
-        sim.schedule(delay, self.succeed, value)
+        heappush(sim._heap, (sim.now + delay, next(sim._seq), self.succeed, (value,)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout {self.delay:g} {self._state}>"

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -67,11 +68,10 @@ def _perturbed_seq(seed: int):
     every key unique so the heap never falls through to comparing callables.
     Keys are drawn in execution order from a private PRNG, so the same seed
     always produces the same perturbation — replayable by construction.
+    Built from C iterators only, so drawing a key runs no Python frame.
     """
     rng = random.Random(seed)
-    bits = rng.getrandbits
-    for n in itertools.count():
-        yield (bits(32), n)
+    return zip(iter(partial(rng.getrandbits, 32), None), itertools.count())
 
 
 class Thread(_ThreadWaiter):
@@ -254,6 +254,18 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Event that succeeds at the absolute simulated time ``when``.
+
+        ``timeout(when - now)`` lands on ``now + (when - now)``, which can
+        miss ``when`` by one ulp; this pushes ``when`` itself.
+        """
+        if when < self.now:
+            raise ValueError(f"timeout_at({when!r}) is before now ({self.now!r})")
+        ev = Event(self, name="timeout")
+        heappush(self._heap, (when, next(self._seq), ev.succeed, (value,)))
+        return ev
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))

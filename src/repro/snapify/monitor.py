@@ -11,18 +11,19 @@ back to the requesting host processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..blcr import DeltaImage, cr_restart, cr_restore_context, reassemble
 from ..coi.buffer import localstore_path as buffer_localstore_path
 from ..coi.daemon import COIDaemon, DaemonEntry
 from ..coi.services import COIError
 from ..obs.registry import MetricsRegistry
-from ..osim.pipes import DuplexPipe
+from ..osim.pipes import DuplexPipe, PipeEnd
 from ..osim.process import SimProcess
 from ..osim import signals as sig
 from ..scif.endpoint import ScifEndpoint
 from ..sim.errors import SimError
+from ..sim.events import Event
 from ..snapify_io.library import snapifyio_open
 from . import constants as c
 
@@ -75,6 +76,11 @@ class SnapifyService:
         self.active: Dict[Any, ActiveRequest] = {}
         self.monitor_running = False
         self.monitor_spawn_count = 0
+        #: Set while the monitor is parked; succeeding it wakes the monitor.
+        self._wake: Optional[Event] = None
+        #: Inbound pipe write ends whose ``on_put`` is armed with ``_poke``.
+        self._armed: List[PipeEnd] = []
+        daemon.phi_os.exit_watchers.append(self._poke)
         reg = MetricsRegistry.of(self.sim)
         self.m_spawns = reg.counter("snapify.monitor.spawns")
         self.m_relays = reg.counter("snapify.monitor.relays")
@@ -93,6 +99,8 @@ class SnapifyService:
         """Per the paper: "Whenever a request is received and no monitor
         thread exists, the daemon creates a new monitor thread." """
         if self.monitor_running:
+            # A new or updated request: a parked monitor must poll again.
+            self._poke()
             return
         self.monitor_running = True
         self.monitor_spawn_count += 1
@@ -101,38 +109,89 @@ class SnapifyService:
                             active=len(self.active))
         self.daemon.proc.spawn_thread(self._monitor(), name="snapify-monitor", daemon=True)
 
+    def _poke(self, _proc: Any = None) -> None:
+        """Wake the monitor if it is parked (an exit watcher, too)."""
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake.succeed()
+
+    def _disarm(self) -> None:
+        for end in self._armed:
+            end.on_put = None
+        self._armed = []
+        self._wake = None
+
     def _monitor(self):
-        while self.active:
-            by_pid: Dict[int, list] = {}
-            for key, req in list(self.active.items()):
-                by_pid.setdefault(key[0], []).append((key, req))
-            for pid, reqs in by_pid.items():
-                # Every request for one pid shares the entry's single pipe;
-                # at most one message is drained per pid per tick and routed
-                # to the operation whose id it carries.
-                pipe = reqs[0][1].entry.pipe
-                if pipe is None:
+        """Poll every active pipe each ``MONITOR_POLL_INTERVAL``.
+
+        A tick that relays nothing changes nothing, so the monitor does not
+        execute the idle ticks that follow it: it parks until a pipe write,
+        an offload-process exit or a new request, then sleeps to the first
+        tick of the polling grid at or after that instant (walked with the
+        polling loop's own float additions). Every relay therefore happens
+        at the instant the polling loop would have made it.
+        """
+        poll = c.MONITOR_POLL_INTERVAL
+        try:
+            while self.active:
+                if (yield from self._tick()):
+                    yield self.sim.timeout(poll)
                     continue
-                ok, msg = pipe.try_recv() if pipe.pending else (False, None)
-                if ok:
-                    key, req = self._match(reqs, msg)
-                    yield from self._relay(key, req, msg)
-                    continue
-                # Unexpected death of the offload process while operations
-                # are in flight: tell every host instead of letting it hang.
-                if reqs[0][1].entry.state == "crashed":
-                    for key, req in reqs:
-                        if key not in self.active:
-                            continue
-                        yield from self._relay(
-                            key, req,
-                            {"t": c.SNAPIFY_FAILED,
-                             "reason": f"offload pid {pid} died during {req.op}",
-                             "op_id": key[1]},
-                        )
-            yield self.sim.timeout(c.MONITOR_POLL_INTERVAL)
+                t_last = self.sim.now
+                for req in self.active.values():
+                    pipe = req.entry.pipe
+                    if pipe is not None and pipe.inbound.on_put is None:
+                        pipe.inbound.on_put = self._poke
+                        self._armed.append(pipe.inbound)
+                self._wake = self.sim.event("snapify-monitor.wake")
+                yield self._wake
+                self._disarm()
+                tick = t_last + poll
+                while tick < self.sim.now:
+                    tick += poll
+                yield self.sim.timeout_at(tick)
+        finally:
+            # Also runs when the thread is killed while parked (card
+            # failure): no pipe keeps a callback into a dead monitor.
+            self._disarm()
         self.monitor_running = False
         self.sim.trace.emit("monitor.exit", daemon=self.daemon.proc.name)
+
+    def _tick(self):
+        """Sub-generator: one poll of every active pipe; returns whether it
+        relayed anything."""
+        relayed = False
+        by_pid: Dict[int, list] = {}
+        for key, req in list(self.active.items()):
+            by_pid.setdefault(key[0], []).append((key, req))
+        for pid, reqs in by_pid.items():
+            # Every request for one pid shares the entry's single pipe;
+            # at most one message is drained per pid per tick and routed
+            # to the operation whose id it carries.
+            pipe = reqs[0][1].entry.pipe
+            if pipe is None:
+                continue
+            ok, msg = pipe.try_recv() if pipe.pending else (False, None)
+            if ok:
+                key, req = self._match(reqs, msg)
+                yield from self._relay(key, req, msg)
+                relayed = True
+                continue
+            # Unexpected death of the offload process while operations
+            # are in flight: tell every host instead of letting it hang.
+            if reqs[0][1].entry.state == "crashed":
+                for key, req in reqs:
+                    if key not in self.active:
+                        continue
+                    yield from self._relay(
+                        key, req,
+                        {"t": c.SNAPIFY_FAILED,
+                         "reason": f"offload pid {pid} died during {req.op}",
+                         "op_id": key[1]},
+                    )
+                    relayed = True
+        return relayed
 
     @staticmethod
     def _match(reqs, msg):

@@ -1,5 +1,7 @@
 """Tests for the SCIF layer: connections, messaging, RDMA, teardown."""
 
+import itertools
+
 import pytest
 
 from repro.hw import GB, MB, HardwareParams, ServerNode
@@ -14,6 +16,7 @@ from repro.scif import (
     scif_vwriteto,
     scif_writeto,
 )
+from repro.scif.registry import RdmaRegistry
 from repro.sim import Simulator
 
 
@@ -315,3 +318,18 @@ def test_endpoint_pending_counts_undelivered_messages():
     sim.spawn(client(sim))
     sim.run()
     assert state["pending"] == 2
+
+
+def test_rdma_offsets_match_the_per_page_counter():
+    """Offsets are those of the original allocator, which advanced an
+    ``itertools.count`` once per page plus once for the window itself."""
+    sizes = [1, 4096, 4097, 4 * MB, int(174.9 * MB)]
+    counter = itertools.count(0x1_0000)
+    expected = []
+    for nbytes in sizes:
+        base = next(counter)
+        for _ in range(max(1, (nbytes + 4095) // 4096)):
+            next(counter)
+        expected.append(base * 4096)
+    registry = RdmaRegistry(os=None)
+    assert [registry.allocate_offset(n) for n in sizes] == expected

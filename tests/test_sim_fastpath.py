@@ -7,9 +7,13 @@ including the interrupt/kill interactions that the fast paths must not
 break — and the per-simulator thread-ID counter.
 """
 
+import itertools
+import random
+
 import pytest
 
 from repro.sim import Channel, ChannelClosed, Event, Interrupted, Simulator
+from repro.sim.kernel import _perturbed_seq
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +408,22 @@ def test_remove_callback_before_any_registration_is_noop():
     ev = Event(sim)
     ev.remove_callback(lambda e: None)  # must not raise
     assert ev.abandoned
+
+
+# ---------------------------------------------------------------------------
+# Perturbed tie-break keys
+# ---------------------------------------------------------------------------
+
+
+def _generator_perturbed_seq(seed):
+    """The perturbed key stream as first written: a Python generator."""
+    rng = random.Random(seed)
+    for n in itertools.count():
+        yield (rng.getrandbits(32), n)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20])
+def test_perturbed_seq_keys_match_the_generator(seed):
+    fast = itertools.islice(_perturbed_seq(seed), 10_000)
+    slow = itertools.islice(_generator_perturbed_seq(seed), 10_000)
+    assert list(fast) == list(slow)
