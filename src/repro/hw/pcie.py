@@ -83,14 +83,18 @@ class PCIeLink:
         raise ValueError(f"unknown direction {direction!r}")
 
     def message(self, direction: str, nbytes: int = 64):
-        """Sub-generator: deliver a small control message."""
+        """Sub-generator: deliver a small control message.
+
+        Returns the link's ``occupy`` generator itself rather than wrapping
+        it, which saves one generator frame per hop.
+        """
         link = self._direction(direction)
-        yield from link.occupy(nbytes, extra_latency=self.params.message_latency)
+        return link.occupy(nbytes, extra_latency=self.params.message_latency)
 
     def rdma(self, direction: str, nbytes: int):
         """Sub-generator: one RDMA transfer (already-registered memory)."""
         link = self._direction(direction)
-        yield from link.occupy(nbytes, extra_latency=self.params.rdma_op_latency)
+        return link.occupy(nbytes, extra_latency=self.params.rdma_op_latency)
 
     def register_cost(self, nbytes: int) -> float:
         """Time to pin+register ``nbytes`` for RDMA (paid locally, no wire)."""

@@ -15,7 +15,7 @@ pending receives fail with :class:`ConnectionReset` — the condition
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..hw.node import ServerNode
 from ..hw.pcie import DEVICE_TO_HOST, HOST_TO_DEVICE, PCIeLink
@@ -78,6 +78,7 @@ class ScifNetwork:
         self._listeners: Dict[Tuple[int, int], Channel] = {}
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
         self.endpoints: List["ScifEndpoint"] = []
+        self._routes: Dict[Tuple["OSInstance", "OSInstance"], List[Tuple[PCIeLink, str]]] = {}
         reg = MetricsRegistry.of(self.sim)
         self._m_connects = reg.counter(f"scif.{node.name}.connections")
         reg.gauge(f"scif.{node.name}.open_endpoints",
@@ -92,6 +93,15 @@ class ScifNetwork:
             net = ScifNetwork(node)
             node.scif = net  # type: ignore[attr-defined]
         return net
+
+    def route(self, src_os: "OSInstance", dst_os: "OSInstance") -> List[Tuple[PCIeLink, str]]:
+        """The PCIe path from ``src_os`` to ``dst_os``, computed once per pair
+        and shared (read-only) by every endpoint on that path."""
+        key = (src_os, dst_os)
+        segs = self._routes.get(key)
+        if segs is None:
+            segs = self._routes[key] = _segments(src_os, dst_os)
+        return segs
 
     def os_for_scif_node(self, scif_node_id: int) -> "OSInstance":
         peer = self.node.scif_peer(scif_node_id)
@@ -143,15 +153,15 @@ class ScifNetwork:
                 raise ScifError(f"connect: PCIe link down on {os_.name}")
         client = ScifEndpoint(self.sim, src_os, port=next(self._ephemeral), proc=proc)
         server = ScifEndpoint(self.sim, dst_os, port=dst_port)
-        client._attach(server)
-        server._attach(client)
+        client._attach(server, self)
+        server._attach(client, self)
         self._m_connects.inc()
         self.endpoints.append(client)
         self.endpoints.append(server)
         # Connection handshake: one control message each way.
-        for link, direction in _segments(src_os, dst_os):
+        for link, direction in client._route:
             yield from link.message(direction)
-        for link, direction in _segments(dst_os, src_os):
+        for link, direction in server._route:
             yield from link.message(direction)
         yield backlog.send(server)
         return client
@@ -190,6 +200,8 @@ class ScifEndpoint:
         self.eid = next(ids)
         self.proc = proc
         self.peer: Optional["ScifEndpoint"] = None
+        #: PCIe path toward the peer (shared with ScifNetwork's route cache).
+        self._route: Sequence[Tuple[PCIeLink, str]] = ()
         self._rx = Channel(sim, name=f"scif.ep{self.eid}.rx")
         self._m_msgs = MetricsRegistry.of(sim).counter("scif.messages")
         self.closed = False
@@ -199,8 +211,9 @@ class ScifEndpoint:
             # Duck-typed cleanup: SimProcess.terminate() calls close().
             proc.open_fds.append(self)  # type: ignore[arg-type]
 
-    def _attach(self, peer: "ScifEndpoint") -> None:
+    def _attach(self, peer: "ScifEndpoint", net: ScifNetwork) -> None:
         self.peer = peer
+        self._route = net.route(self.os, peer.os)
 
     # -- messaging -------------------------------------------------------------
     def send(self, msg: Any, nbytes: int = 64):
@@ -210,10 +223,10 @@ class ScifEndpoint:
         peer = self.peer
         if peer is None or peer.closed:
             raise ConnectionReset(f"ep{self.eid}: peer gone")
-        segments = _segments(self.os, peer.os)
-        for link, direction in segments:
+        route = self._route
+        for link, direction in route:
             yield from link.message(direction, nbytes)
-        if not segments:
+        if not route:
             yield self.sim.timeout(1e-6)  # loopback
         self._m_msgs.inc()
         yield peer._rx.send(msg)
@@ -233,7 +246,7 @@ class ScifEndpoint:
         yield ack
         peer = self.peer
         if peer is not None and not peer.closed:
-            for link, direction in _segments(peer.os, self.os):
+            for link, direction in peer._route:
                 yield from link.message(direction)
 
     def recv(self) -> Event:

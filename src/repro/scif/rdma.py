@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .endpoint import ScifEndpoint, ScifError, _segments
+from .endpoint import ScifEndpoint, ScifError
 from .registry import check_local_window, check_remote_window
 
 
@@ -29,8 +29,7 @@ def _rdma_transfer(ep: ScifEndpoint, nbytes: int, toward_peer: bool):
         raise ScifError(f"ep{ep.eid}: RDMA with no live peer")
     if nbytes < 0:
         raise ScifError("negative RDMA size")
-    src_os, dst_os = (ep.os, peer.os) if toward_peer else (peer.os, ep.os)
-    segs = _segments(src_os, dst_os)
+    segs = ep._route if toward_peer else peer._route
     if not segs:
         # Loopback RDMA: charge a memcpy on the local pool.
         yield ep.sim.timeout(ep.os.memory.memcpy_time(nbytes))

@@ -16,9 +16,9 @@ common cases are fast paths that allocate nothing beyond the result event:
 
 * The event names ``send:<chan>``/``recv:<chan>`` are interpolated once per
   channel, not once per operation.
-* An unbounded ``send`` with no blocked receiver appends and triggers the
-  result event inline — no waiter tuple, no callback list (the event's
-  callback list is lazily allocated and stays ``None``).
+* An accepted ``send`` (unbounded, or room left, or handed straight to a
+  blocked receiver) returns the simulator's shared pre-fired event
+  ``sim._fired`` — no event, no waiter tuple, no callback list.
 * A ``recv`` on a non-empty channel pops and triggers inline; the blocked-
   sender scan only runs when a sender is actually parked.
 * Direct handoff (send meeting a parked receiver) triggers the receiver's
@@ -97,11 +97,15 @@ class Channel:
 
     # -- operations ----------------------------------------------------------
     def send(self, item: Any) -> Event:
-        """Enqueue ``item``; the returned event succeeds once it is accepted."""
-        ev = Event(self.sim, name=self._send_name)
+        """Enqueue ``item``; the returned event succeeds once it is accepted.
+
+        An accepted send returns the simulator's shared pre-fired event; only
+        a closed channel or a sender blocked on a full one gets its own.
+        """
         if self.closed:
-            ev.fail(self._close_error or ChannelClosed(self.name))
-            return ev
+            return Event(self.sim, name=self._send_name).fail(
+                self._close_error or ChannelClosed(self.name)
+            )
         self.sent_count += 1
         # Direct handoff to the oldest blocked receiver keeps FIFO intact.
         # Skip receivers whose thread was interrupted/killed while waiting,
@@ -113,14 +117,13 @@ class Channel:
                 continue  # triggered elsewhere, or abandoned
             self.received_count += 1
             recv_ev.succeed(item)
-            ev.succeed(None)
-            return ev
+            return self.sim._fired
         if self.capacity is not None and len(self._items) >= self.capacity:
+            ev = Event(self.sim, name=self._send_name)
             self._send_waiters.append((ev, item))
-        else:
-            self._items.append(item)
-            ev.succeed(None)
-        return ev
+            return ev
+        self._items.append(item)
+        return self.sim._fired
 
     def recv(self) -> Event:
         """The returned event succeeds with the oldest message."""

@@ -179,8 +179,9 @@ class Timeout(Event):
     f-string was measurable on the hot path. ``repr()`` still shows the
     delay for debugging. For the same reason the constructor sets the slots
     and pushes its heap entry itself instead of calling ``Event.__init__``
-    and ``Simulator.schedule``; the entry and its one ``next(sim._seq)``
-    draw are exactly what ``schedule`` would push.
+    and ``Simulator.schedule``; the entry's time and its one
+    ``next(sim._seq)`` draw are exactly what ``schedule`` would push. The
+    entry runs :meth:`_expire` rather than ``succeed``.
     """
 
     __slots__ = ("delay",)
@@ -195,7 +196,37 @@ class Timeout(Event):
         self._exc = None
         self._callbacks = None
         self.delay = delay
-        heappush(sim._heap, (sim.now + delay, next(sim._seq), self.succeed, (value,)))
+        heappush(sim._heap, (sim.now + delay, next(sim._seq), self._expire, (value,)))
+
+    def _expire(self, value: Any) -> None:
+        """Heap entry: succeed, resuming a lone parked thread inline.
+
+        With exactly one waiter, a thread still parked here, this does what
+        ``succeed`` + ``_fire`` + ``Simulator._ready`` would: it draws the
+        resume's seq, then runs the thread at once if that heap entry would
+        be the very next pop (see ``Thread._step``). Anything else takes the
+        plain ``succeed`` path.
+        """
+        callbacks = self._callbacks
+        if callbacks is not None and len(callbacks) == 1 and self._state is PENDING:
+            th = callbacks[0]
+            if isinstance(th, _ThreadWaiter) and th._waiting_on is self:
+                self._state = SUCCEEDED
+                self._value = value
+                self._callbacks = None
+                th._waiting_on = None
+                sim = self.sim
+                heap = sim._heap
+                seq = next(sim._seq)
+                now = sim.now
+                if (heap and heap[0][0] == now and heap[0][1] < seq) or (
+                    sim._awaited._state is not PENDING
+                ):
+                    heappush(heap, (now, seq, th._bstep, (value, None)))
+                else:
+                    th._step(value)
+                return
+        self.succeed(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout {self.delay:g} {self._state}>"

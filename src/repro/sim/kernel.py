@@ -16,8 +16,11 @@ and the run loops below, so this module trades a little beauty for speed:
 * ``Thread`` uses ``__slots__`` and parks itself directly in an event's
   callback list (see :class:`~repro.sim.events._ThreadWaiter`) — no resume
   closure is allocated per wait.
-* Yielding an already-triggered event skips waiter registration entirely
-  and re-schedules the thread straight onto the heap.
+* Yielding an already-triggered event skips waiter registration entirely.
+  The resume draws its seq as a heap push would, and then runs inline
+  (``_step`` loops) whenever that entry would be the very next pop; a
+  timeout with one parked thread does the same (``Timeout._expire``). See
+  *Direct dispatch* below.
 * ``_ready``/``spawn`` push heap entries inline instead of going through
   :meth:`Simulator.schedule`, and the run loops bind ``heappop`` locally.
 * The bound ``_step`` method is created once per thread (``_bstep``), not
@@ -26,6 +29,18 @@ and the run loops below, so this module trades a little beauty for speed:
 None of this may change wakeup ordering: heap entries remain
 ``(time, seq, fn, args)`` with ``seq`` drawn in the same places as the
 straightforward implementation, so trace orderings are byte-identical.
+
+Direct dispatch
+---------------
+A resume is skipped past the heap only when pushing and popping it would
+change nothing: the heap is empty, or its head is later than ``now`` or
+has a larger key than the seq just drawn. The seq is still drawn, so the
+FIFO counter and the seeded key stream (and so every later tie-break) are
+the same as with the push. While ``run_until`` waits, it parks its event in
+``Simulator._awaited``; once that event has triggered, resumes take the
+heap again, so ``run_until`` returns before any code the plain loop would
+have left queued. Setting ``sim._awaited = sim._fired`` forces every
+resume through the heap, which the differential tests use as a reference.
 
 Thread IDs are drawn from a **per-simulator** counter (``Simulator._tids``),
 so the interleaving — and any trace output derived from thread names — of a
@@ -109,22 +124,28 @@ class Thread(_ThreadWaiter):
             # Killed/finished while a resumption was already scheduled.
             return
         self._waiting_on = None
-        try:
-            if throw_exc is not None:
-                target = self.gen.throw(throw_exc)
-            else:
-                target = self.gen.send(send_value)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - thread death is reported
-            self.sim.trace.emit("thread.error", thread=self.name, error=repr(exc))
-            self.sim._dead_threads.append((self, exc))
-            self.done.fail(exc)
-            if self.sim.strict:
-                raise
-            return
-        if isinstance(target, Event):
+        gen = self.gen
+        sim = self.sim
+        heap = sim._heap
+        now = sim.now  # no simulated time passes inside one step
+        while True:
+            try:
+                if throw_exc is not None:
+                    target = gen.throw(throw_exc)
+                else:
+                    target = gen.send(send_value)
+            except StopIteration as stop:
+                self.done.succeed(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - thread death is reported
+                sim.trace.emit("thread.error", thread=self.name, error=repr(exc))
+                sim._dead_threads.append((self, exc))
+                self.done.fail(exc)
+                if sim.strict:
+                    raise
+                return
+            if not isinstance(target, Event):
+                break
             state = target._state
             if state is PENDING:
                 # Park directly in the event's waiter list: no closure.
@@ -134,21 +155,25 @@ class Thread(_ThreadWaiter):
                     target._callbacks = [self]
                 else:
                     callbacks.append(self)
+                return
+            # Already triggered: the resume draws its seq exactly where the
+            # heap push used to, then runs inline if it would pop next.
+            if state is SUCCEEDED:
+                send_value, throw_exc = target._value, None
             else:
-                # Already-triggered fast path: straight back onto the heap.
-                sim = self.sim
-                if state is SUCCEEDED:
-                    args = (target._value, None)
-                else:
-                    args = (None, target._exc)
-                heappush(sim._heap, (sim.now, next(sim._seq), self._bstep, args))
-            return
+                send_value, throw_exc = None, target._exc
+            seq = next(sim._seq)
+            if (heap and heap[0][0] == now and heap[0][1] < seq) or (
+                sim._awaited._state is not PENDING
+            ):
+                heappush(heap, (now, seq, self._bstep, (send_value, throw_exc)))
+                return
         exc2 = TypeError(
             f"thread {self.name!r} yielded {target!r}; threads must yield Event objects"
         )
-        self.sim._dead_threads.append((self, exc2))
+        sim._dead_threads.append((self, exc2))
         self.done.fail(exc2)
-        if self.sim.strict:
+        if sim.strict:
             raise exc2
 
     # -- control ------------------------------------------------------------
@@ -227,6 +252,12 @@ class Simulator:
         self.trace = Tracer(self, enabled=trace)
         self.threads: List[Thread] = []
         self._dead_threads: List = []
+        #: One pre-fired event shared by every grant that succeeds on the
+        #: spot (uncontended mutex acquires, accepted channel sends).
+        self._fired = Event(self, name="fired").succeed(None)
+        #: The event ``run_until`` waits for; a never-firing sentinel outside
+        #: it. Once it has triggered, resumes go through the heap again.
+        self._awaited = Event(self, name="idle")
 
     # -- low-level scheduling ------------------------------------------------
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -321,17 +352,21 @@ class Simulator:
         """Run until ``event`` triggers; return its value (or raise its error)."""
         heap = self._heap
         pop = heappop
-        while event._state is PENDING:
-            if not heap:
-                raise DeadlockError(
-                    f"event {event.name!r} can never trigger (heap empty)",
-                    waitfor=self.wait_for_graph(),
-                )
-            t, _, fn, args = pop(heap)
-            if t > limit:
-                raise SimTimeLimit(f"exceeded t={limit:g} waiting for {event.name!r}")
-            self.now = t
-            fn(*args)
+        prev, self._awaited = self._awaited, event
+        try:
+            while event._state is PENDING:
+                if not heap:
+                    raise DeadlockError(
+                        f"event {event.name!r} can never trigger (heap empty)",
+                        waitfor=self.wait_for_graph(),
+                    )
+                if heap[0][0] > limit:
+                    raise SimTimeLimit(f"exceeded t={limit:g} waiting for {event.name!r}")
+                t, _, fn, args = pop(heap)
+                self.now = t
+                fn(*args)
+        finally:
+            self._awaited = prev
         return event.value
 
     # -- diagnostics -----------------------------------------------------------

@@ -70,14 +70,18 @@ class Mutex:
         self._acquire_name = f"acquire:{name}"
 
     def acquire(self, owner: Optional[object] = None) -> Event:
-        """Return an event that succeeds once the caller holds the lock."""
-        ev = _AcquireEvent(self)
+        """Return an event that succeeds once the caller holds the lock.
+
+        An uncontended acquire returns the simulator's shared pre-fired
+        event and allocates nothing; only a queued acquire gets its own
+        :class:`_AcquireEvent` (and with it an ``owner_info`` edge).
+        """
         if not self.locked:
             self.locked = True
             self.owner = owner
-            ev.succeed(self)
-        else:
-            self._waiters.append((ev, owner))
+            return self.sim._fired
+        ev = _AcquireEvent(self)
+        self._waiters.append((ev, owner))
         return ev
 
     def try_acquire(self, owner: Optional[object] = None) -> bool:
@@ -98,14 +102,10 @@ class Mutex:
             if ev._state is not PENDING or not ev._callbacks:
                 continue
             self.owner = owner
-            ev.succeed(self)
+            ev.succeed(None)
             return
         self.locked = False
         self.owner = None
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for ev, _ in self._waiters if not ev.triggered)
 
 
 class Semaphore:

@@ -317,6 +317,25 @@ def test_run_until_time_limit_guard():
         sim.run_until(ev, limit=100)
 
 
+def test_run_until_time_limit_keeps_the_entry_past_the_limit():
+    """The limit is checked before the next entry is popped, so the wakeup
+    past the limit (and the thread behind it) survives for a later run."""
+    sim = Simulator()
+    ticks = []
+
+    def ticker(sim):
+        while True:
+            yield sim.timeout(10)
+            ticks.append(sim.now)
+
+    sim.spawn(ticker(sim), daemon=True)
+    with pytest.raises(SimTimeLimit):
+        sim.run_until(sim.event("never"), limit=100)
+    assert ticks == [10 * i for i in range(1, 11)]
+    sim.run(until=200)
+    assert ticks == [10 * i for i in range(1, 21)]
+
+
 def test_any_of_returns_first():
     sim = Simulator()
 
