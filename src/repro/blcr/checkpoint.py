@@ -5,10 +5,15 @@
 Snapify-IO socket. ``cr_request_checkpoint`` is the asynchronous entry point
 the paper's offload process uses: the capture request arrives over the
 daemon pipe, and the process checkpoints itself.
+
+Both capture either image kind: a full :class:`ProcessContext`, or — given
+a ``snapshot_id`` — the next :class:`~repro.blcr.incremental.DeltaImage`
+link of that snapshot's chain (the base on its first capture, dirty pages
+after). Without a descriptor the kernel-side cost is still charged but
+nothing is written: the in-memory tier takes the image from the caller.
 """
 
 from __future__ import annotations
-
 
 from typing import Optional
 
@@ -37,60 +42,21 @@ class BLCRError(SimError):
     """Checkpoint/restart failure."""
 
 
-def cr_checkpoint(proc: SimProcess, fd: FileDescriptor):
-    """Sub-generator: write ``proc``'s context through ``fd``.
+def cr_checkpoint(proc: SimProcess, fd: Optional[FileDescriptor] = None,
+                  snapshot_id: Optional[str] = None):
+    """Sub-generator: capture ``proc`` and write the image through ``fd``.
 
-    Returns the captured :class:`ProcessContext`. State is copied atomically
-    at entry; the time is spent pushing it through the descriptor.
+    Returns the captured :class:`ProcessContext`, or the next chain link for
+    ``snapshot_id`` when one is given. State is copied atomically at entry;
+    the time is spent on record assembly and the page walk over the bytes
+    the image ships, and on pushing them through ``fd`` when there is one.
     """
     if not proc.alive:
         raise BLCRError(f"cannot checkpoint dead process {proc.name}")
-    ctx = ProcessContext.capture(proc)
-    sim = proc.sim
-    per_byte = page_walk_cost(proc.os)
-    for nbytes, record in ctx.write_plan():
-        yield sim.timeout(RECORD_CPU_COST + per_byte * nbytes)
-        yield from fd.write(nbytes, record)
-    return ctx
-
-
-def cr_request_checkpoint(proc: SimProcess, fd: FileDescriptor) -> Event:
-    """Asynchronously checkpoint ``proc`` from within (returns a done event).
-
-    Mirrors BLCR's ``cr_request_checkpoint()``: the work happens on a thread
-    inside the target process; the returned event succeeds with the captured
-    context (or fails with the checkpoint error).
-    """
-    done = Event(proc.sim, name=f"ckpt:{proc.name}")
-
-    def _runner(proc: SimProcess = proc):
-        try:
-            ctx = yield from cr_checkpoint(proc, fd)
-        except SimError as exc:
-            done.fail(exc)
-            return
-        done.succeed(ctx)
-
-    proc.spawn_thread(_runner(), name="blcr-checkpoint")
-    return done
-
-
-def cr_checkpoint_incremental(
-    proc: SimProcess,
-    snapshot_id: str,
-    fd: Optional[FileDescriptor] = None,
-):
-    """Sub-generator: incremental capture of ``proc`` for ``snapshot_id``.
-
-    Returns the captured :class:`DeltaImage` (full base on epoch 0, dirty
-    pages after). Kernel-side cost (record assembly + page walks over the
-    *shipped* bytes only) is always charged; descriptor writes happen only
-    when ``fd`` is given — in-memory tier captures pass ``fd=None`` and the
-    image lands in the caller's hands without touching any channel.
-    """
-    if not proc.alive:
-        raise BLCRError(f"cannot checkpoint dead process {proc.name}")
-    image = capture_incremental(proc, snapshot_id)
+    if snapshot_id is None:
+        image = ProcessContext.capture(proc)
+    else:
+        image = capture_incremental(proc, snapshot_id)
     sim = proc.sim
     per_byte = page_walk_cost(proc.os)
     for nbytes, record in image.write_plan():
@@ -100,22 +66,19 @@ def cr_checkpoint_incremental(
     return image
 
 
-def cr_request_checkpoint_incremental(
-    proc: SimProcess,
-    snapshot_id: str,
-    fd: Optional[FileDescriptor] = None,
-) -> Event:
-    """Asynchronous form of :func:`cr_checkpoint_incremental`.
+def cr_request_checkpoint(proc: SimProcess, fd: Optional[FileDescriptor] = None,
+                          snapshot_id: Optional[str] = None) -> Event:
+    """Asynchronously checkpoint ``proc`` from within (returns a done event).
 
-    The work happens on a thread inside the target process; the returned
-    event succeeds with the captured :class:`DeltaImage` or fails with the
-    checkpoint error — mirroring :func:`cr_request_checkpoint`.
+    Mirrors BLCR's ``cr_request_checkpoint()``: the work happens on a thread
+    inside the target process; the returned event succeeds with the captured
+    image (see :func:`cr_checkpoint`) or fails with the checkpoint error.
     """
-    done = Event(proc.sim, name=f"ickpt:{proc.name}")
+    done = Event(proc.sim, name=f"ckpt:{proc.name}")
 
     def _runner(proc: SimProcess = proc):
         try:
-            image = yield from cr_checkpoint_incremental(proc, snapshot_id, fd)
+            image = yield from cr_checkpoint(proc, fd, snapshot_id)
         except SimError as exc:
             done.fail(exc)
             return

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..osim.process import MemoryRegion, SimProcess
 
@@ -30,6 +32,49 @@ RECORDS_PER_THREAD = 4
 BULK_CHUNK = 4 * 1024 * 1024
 #: CPU cost of assembling one record (kernel-side copy bookkeeping).
 RECORD_CPU_COST = 4e-6
+
+
+def small_records(nthreads: int, nregions: int,
+                  plugin_images: Sequence["PluginImage"]) -> int:
+    """Metadata records of an image: prologue, per-thread state, one per
+    region entry, plus each plugin image's own records."""
+    return (
+        BASE_SMALL_RECORDS
+        + RECORDS_PER_THREAD * nthreads
+        + nregions
+        + sum(image.records for image in plugin_images)
+    )
+
+
+def image_size(nthreads: int, region_sizes: Sequence[int],
+               plugin_images: Sequence["PluginImage"]) -> int:
+    """Serialized bytes of a full image: metadata records, every region's
+    pages, then every plugin image's bulk payload."""
+    return (
+        small_records(nthreads, len(region_sizes), plugin_images) * SMALL_RECORD
+        + sum(region_sizes)
+        + sum(image.bulk_bytes for image in plugin_images)
+    )
+
+
+def bulk_chunks(nbytes: int) -> Iterator[int]:
+    """The chunk sizes a bulk payload of ``nbytes`` moves in."""
+    while nbytes > 0:
+        chunk = min(nbytes, BULK_CHUNK)
+        yield chunk
+        nbytes -= chunk
+
+
+def record_plan(n_small: int, header: Any,
+                bulk: Iterable[int]) -> List[Tuple[int, Optional[Any]]]:
+    """An image's (nbytes, record) write sequence: ``n_small`` metadata
+    records, the last carrying ``header`` (the image object a reader
+    rebuilds from), then each bulk payload in ``bulk`` chunked."""
+    plan: List[Tuple[int, Optional[Any]]] = [(SMALL_RECORD, None)] * (n_small - 1)
+    plan.append((SMALL_RECORD, header))
+    for nbytes in bulk:
+        plan.extend((chunk, None) for chunk in bulk_chunks(nbytes))
+    return plan
 
 
 @dataclass
@@ -67,10 +112,6 @@ class ProcessContext:
     store: Dict[str, Any]
     regions: List[RegionImage]
     main_factory: Optional[Callable] = None
-    #: .. deprecated:: superseded by ``plugin_images`` (see
-    #:    :class:`~repro.blcr.plugins.COIMetadataPlugin`); kept so legacy
-    #:    captures deserialize. New code should not write to it.
-    annotations: Dict[str, Any] = field(default_factory=dict)
     #: Ordered images from non-builtin checkpoint plugins (sockets, RAM-FS
     #: files, signals, RDMA windows, ...). Empty for legacy captures, which
     #: keeps ``image_bytes``/``write_plan`` — and the golden trace —
@@ -88,12 +129,7 @@ class ProcessContext:
 
     @property
     def n_small_records(self) -> int:
-        return (
-            BASE_SMALL_RECORDS
-            + RECORDS_PER_THREAD * self.nthreads
-            + len(self.regions)
-            + sum(image.records for image in self.plugin_images)
-        )
+        return small_records(self.nthreads, len(self.regions), self.plugin_images)
 
     @property
     def bulk_bytes(self) -> int:
@@ -111,28 +147,16 @@ class ProcessContext:
     def write_plan(self) -> List[Tuple[int, Optional[Any]]]:
         """The (nbytes, record) sequence BLCR pushes through the descriptor.
 
-        The final record carries the context object itself so a reader can
-        reconstruct the process; earlier records model the write pattern.
+        The final metadata record carries the context object itself so a
+        reader can reconstruct the process; earlier records model the write
+        pattern. Each region's pages are chunked on their own, then each
+        plugin image's bulk payload (the restore side mirrors this layout).
         """
-        plan: List[Tuple[int, Optional[Any]]] = []
-        for _ in range(self.n_small_records - 1):
-            plan.append((SMALL_RECORD, None))
-        plan.append((SMALL_RECORD, self))
-        for region in self.regions:
-            remaining = region.size
-            while remaining > 0:
-                chunk = min(remaining, BULK_CHUNK)
-                plan.append((chunk, None))
-                remaining -= chunk
-        # Plugin bulk payloads stream after the region pages, in image order
-        # (the restore side mirrors this layout).
-        for image in self.plugin_images:
-            remaining = image.bulk_bytes
-            while remaining > 0:
-                chunk = min(remaining, BULK_CHUNK)
-                plan.append((chunk, None))
-                remaining -= chunk
-        return plan
+        return record_plan(
+            self.n_small_records, self,
+            [r.size for r in self.regions]
+            + [image.bulk_bytes for image in self.plugin_images],
+        )
 
     @staticmethod
     def capture(
@@ -160,7 +184,6 @@ class ProcessContext:
             store={},
             regions=[],
             main_factory=proc.main_factory,
-            annotations={},
         )
         for plugin in registry:
             image = plugin.pre_checkpoint(proc)

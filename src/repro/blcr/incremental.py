@@ -24,12 +24,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..osim.process import SimProcess
 from ..sim.errors import SimError
 from .context import (
-    BASE_SMALL_RECORDS,
-    BULK_CHUNK,
-    RECORDS_PER_THREAD,
     SMALL_RECORD,
     ProcessContext,
     RegionImage,
+    image_size,
+    record_plan,
+    small_records,
 )
 from .dirty import PAGE_SIZE
 from .plugins import PluginImage, PluginRegistry
@@ -191,46 +191,33 @@ class DeltaImage:
                 f"(stored {self.crc:#010x}, computed {actual:#010x})"
             )
 
-    # -- serialization cost model ------------------------------------------
+    # -- serialization cost model (see repro.blcr.context) -------------------
     @property
     def n_small_records(self) -> int:
         if self.base is not None:
             # The base context already accounts for its own plugin images.
             return self.base.n_small_records
-        return (
-            BASE_SMALL_RECORDS
-            + RECORDS_PER_THREAD * self.nthreads
-            + len(self.deltas)
-            + sum(pi.records for pi in self.plugin_images)
-        )
+        return small_records(self.nthreads, len(self.deltas), self.plugin_images)
 
     @property
     def metadata_bytes(self) -> int:
         return self.n_small_records * SMALL_RECORD
 
-    def write_plan(self) -> List[Tuple[int, Optional[Any]]]:
-        """(nbytes, record) sequence for streaming this image to a file.
-
-        Mirrors :meth:`ProcessContext.write_plan`: a burst of small metadata
-        records (the last carrying the image object) followed by bulk chunks
-        sized by the bytes this link actually ships.
-        """
-        plan: List[Tuple[int, Optional[Any]]] = []
-        for _ in range(self.n_small_records - 1):
-            plan.append((SMALL_RECORD, None))
-        plan.append((SMALL_RECORD, self))
+    @property
+    def bulk_bytes(self) -> int:
+        """Bulk bytes this link ships: the base's pages and plugin payloads,
+        or a delta's dirty pages plus its re-frozen plugin payloads."""
         if self.base is not None:
-            bulk = self.base.bulk_bytes  # already includes plugin bulk bytes
-        else:
-            bulk = sum(d.delta_bytes for d in self.deltas) + sum(
-                pi.bulk_bytes for pi in self.plugin_images
-            )
-        remaining = bulk
-        while remaining > 0:
-            chunk = min(remaining, BULK_CHUNK)
-            plan.append((chunk, None))
-            remaining -= chunk
-        return plan
+            return self.base.bulk_bytes
+        return sum(d.delta_bytes for d in self.deltas) + sum(
+            pi.bulk_bytes for pi in self.plugin_images
+        )
+
+    def write_plan(self) -> List[Tuple[int, Optional[Any]]]:
+        """(nbytes, record) sequence for streaming this image to a file:
+        the metadata burst (the last record carrying the image object), then
+        the link's whole bulk payload as one chunked stream."""
+        return record_plan(self.n_small_records, self, [self.bulk_bytes])
 
 
 def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
@@ -263,7 +250,6 @@ def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
             base_versions=base_versions,
             plugin_images=list(base.plugin_images),
             logical_bytes=base.image_bytes,
-            delta_bytes=base.image_bytes,
         )
     else:
         deltas: List[RegionDelta] = []
@@ -293,17 +279,6 @@ def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
         # Plugin resources have no dirty bitmap: every delta re-freezes the
         # extras whole (they are metadata-sized next to memory pages).
         plugin_images = PluginRegistry.for_process(proc).capture_extras(proc)
-        n_small = (
-            BASE_SMALL_RECORDS
-            + RECORDS_PER_THREAD * nthreads
-            + len(proc.regions)
-            + sum(pi.records for pi in plugin_images)
-        )
-        logical = (
-            n_small * SMALL_RECORD
-            + sum(r.size for r in proc.regions.values())
-            + sum(pi.bulk_bytes for pi in plugin_images)
-        )
         image = DeltaImage(
             snapshot_id=snapshot_id,
             epoch=epoch,
@@ -313,13 +288,11 @@ def capture_incremental(proc: SimProcess, snapshot_id: str) -> DeltaImage:
             main_factory=proc.main_factory,
             deltas=deltas,
             plugin_images=plugin_images,
-            logical_bytes=logical,
+            logical_bytes=image_size(
+                nthreads, [r.size for r in proc.regions.values()], plugin_images
+            ),
         )
-        image.delta_bytes = (
-            image.metadata_bytes
-            + sum(d.delta_bytes for d in deltas)
-            + sum(pi.bulk_bytes for pi in plugin_images)
-        )
+    image.delta_bytes = image.metadata_bytes + image.bulk_bytes
     image.expected = state_fingerprint(proc)
     image.seal()
     for region in proc.regions.values():
@@ -394,6 +367,5 @@ def reassemble(images: List[DeltaImage], verify: bool = True) -> ProcessContext:
         store=store,
         regions=[regions[n] for n in order],
         main_factory=main_factory,
-        annotations=dict(head.base.annotations),
         plugin_images=copy.deepcopy(plugin_images),
     )

@@ -30,15 +30,14 @@ unchanged golden trace. Extra plugins are opt-in per OS::
     registry.register(SocketPlugin())
     registry.register(SignalPlugin())
 
-``ProcessContext.annotations`` is deprecated: COI runtime metadata now
-rides :class:`COIMetadataPlugin` (a one-record thin plugin) instead of the
-raw dict.
+COI runtime metadata rides :class:`COIMetadataPlugin` (a one-record thin
+plugin).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..osim.fd import RegularFileFD
@@ -512,8 +511,7 @@ def replay_rdma_windows(proc: "SimProcess", ep):
 class COIMetadataPlugin(CheckpointPlugin):
     """COI runtime metadata, as a thin plugin image.
 
-    Supersedes the deprecated free-form ``ProcessContext.annotations`` dict:
-    the binary name, executed-function count, and issued buffer ids ride a
+    The binary name, executed-function count, and issued buffer ids ride a
     one-record image and land in ``proc.runtime["coi_meta"]`` after restore,
     where the restored CardRuntime (and tests) can audit them.
     """

@@ -22,7 +22,7 @@ from typing import Optional
 from ..osim.fd import FileDescriptor
 from ..osim.process import OSInstance, SimProcess
 from .checkpoint import BLCRError, page_walk_cost
-from .context import BULK_CHUNK, RECORD_CPU_COST, SMALL_RECORD, ProcessContext
+from .context import RECORD_CPU_COST, SMALL_RECORD, ProcessContext, bulk_chunks
 from .plugins import PluginRegistry
 
 #: Fallback metadata-scan bound when the descriptor's extent is unknowable
@@ -77,13 +77,10 @@ def _rebuild_process(
                 region.name, region.size, kind=region.kind,
                 data=copy.deepcopy(region.data), pinned=region.pinned,
             )
-            remaining = region.size
-            while remaining > 0:
-                chunk = min(remaining, BULK_CHUNK)
+            for chunk in bulk_chunks(region.size):
                 yield sim.timeout(per_byte * chunk)
                 if fd is not None:
                     yield from fd.read(chunk)
-                remaining -= chunk
 
         proc.store.update(copy.deepcopy(ctx.store))
         proc.store["_blcr_restored"] = True
@@ -95,13 +92,10 @@ def _rebuild_process(
         # torn down like any other failed restore.
         registry = PluginRegistry.of(os)
         for image in ctx.plugin_images:
-            remaining = image.bulk_bytes
-            while remaining > 0:
-                chunk = min(remaining, BULK_CHUNK)
+            for chunk in bulk_chunks(image.bulk_bytes):
                 yield sim.timeout(per_byte * chunk)
                 if fd is not None:
                     yield from fd.read(chunk)
-                remaining -= chunk
             plugin = registry.get(image.plugin)
             hook = plugin.post_restart(proc, image, os)
             if hook is not None:

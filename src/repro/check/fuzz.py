@@ -99,7 +99,8 @@ def _incremental_faults(mode: str, seed: int) -> List[Dict[str, Any]]:
 
     The scenario runs three capture epochs on card 0 starting ~0.3 s after
     boot, each replicated to the partner card 1, then (``demotion_race``
-    only) submits a BACKGROUND demotion ticket with a ~3 s retry horizon:
+    only) submits a BACKGROUND demotion ticket whose three attempts span
+    a 1.5 s retry horizon (backoff 0.5 s, then 1 s):
 
     * ``delta_chain`` — fault-free: the base+delta ledger itself is the
       artifact under test; the ``delta_chain_reconstructs`` oracle must

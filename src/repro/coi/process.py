@@ -249,9 +249,6 @@ class CardRuntime:
     def local_store_bytes(self) -> int:
         return sum(e["size"] for e in self._buffers.values())
 
-    def local_store_files(self) -> List[str]:
-        return [e["path"] for e in self._buffers.values()]
-
     def _handle_cmd(self, msg: Any):
         mtype = msg.get("type")
         if mtype == m.BUFFER_CREATE:

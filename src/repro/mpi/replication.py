@@ -265,10 +265,6 @@ class TeamComm:
         return value
 
     # -- introspection ----------------------------------------------------------
-    def pending_copies(self) -> int:
-        """Delivered-but-unconsumed copies across every replica mailbox."""
-        return sum(len(box) for box in self._mailbox.values())
-
     def ledger_balanced(self) -> bool:
         """The copy-conservation identity (see the ledger comment above)."""
         return (self.copies_sent + self.backfilled

@@ -9,7 +9,8 @@ services pause / capture / resume requests arriving over the pipe:
   and 4), then save the local store to the host snapshot directory through
   Snapify-IO.
 * **capture** — run BLCR against a Snapify-IO descriptor so the context
-  streams straight to the host file system.
+  streams straight to the host file system (or, for an incremental
+  capture, place the next chain link in the in-memory tier).
 * **resume** — release every lock taken by the pause.
 """
 
@@ -113,13 +114,9 @@ def agent_loop(proc: SimProcess, pipe_end):
             yield from pipe_end.send(reply)
             sp.finish(localstore_bytes=ls_bytes)
         elif op == "capture":
-            if msg.get("incremental"):
-                sp = sim.trace.span("agent.capture_delta", parent=parent,
-                                    proc=proc.name)
-                yield from _capture_incremental(proc, pipe_end, msg, op_id, sp)
-            else:
-                sp = sim.trace.span("agent.capture", parent=parent, proc=proc.name)
-                yield from _capture_with_retry(proc, pipe_end, msg, op_id, sp)
+            name = "agent.capture_delta" if msg.get("incremental") else "agent.capture"
+            sp = sim.trace.span(name, parent=parent, proc=proc.name)
+            yield from _capture(proc, pipe_end, msg, op_id, sp)
         elif op == "resume":
             sp = sim.trace.span("agent.resume", parent=parent, proc=proc.name)
             runtime.release()
@@ -129,18 +126,54 @@ def agent_loop(proc: SimProcess, pipe_end):
             raise RuntimeError(f"snapify agent: unknown op {op!r}")
 
 
-def _capture_with_retry(proc: SimProcess, pipe_end, msg, op_id: int, sp):
-    """Sub-generator: run BLCR through Snapify-IO, surviving transient
-    stream faults.
+class _CaptureFailed(Exception):
+    """A capture sink gave up; the message is the reason the host sees and
+    ``__cause__`` the error that ended it."""
+
+
+def _capture(proc: SimProcess, pipe_end, msg, op_id: int, sp):
+    """Sub-generator: one BLCR capture into its sink, reported over the pipe.
+
+    Image and sink are the only things a full and an incremental capture
+    differ in. A full capture streams a :class:`~repro.blcr.ProcessContext`
+    to the host file system (:func:`_stream_to_host`); an incremental one
+    (``msg["incremental"]``) takes the next chain link of the snapshot and
+    places it in the in-memory tier (:func:`_store_in_memtier`). Either way
+    the agent answers with one ``CAPTURE_COMPLETE`` or, when the sink gives
+    up, one ``SNAPIFY_FAILED`` — a clean operation failure on the host
+    rather than a dead agent.
+    """
+    incremental = bool(msg.get("incremental"))
+    sink = _store_in_memtier if incremental else _stream_to_host
+    try:
+        image, reply = yield from sink(proc, pipe_end, msg, op_id, sp)
+    except _CaptureFailed as exc:
+        yield from pipe_end.send(
+            {"t": c.SNAPIFY_FAILED, "op_id": op_id, "reason": str(exc)}
+        )
+        sp.finish(error=str(exc.__cause__))
+        return
+    if image.plugin_images:
+        reply["plugins"] = len(image.plugin_images)
+    yield from pipe_end.send({"t": c.CAPTURE_COMPLETE, "op_id": op_id, **reply})
+    if incremental:
+        sp.finish(epoch=image.epoch, delta_bytes=image.delta_bytes,
+                  logical_bytes=image.logical_bytes)
+    else:
+        sp.finish(bytes=image.image_bytes)
+
+
+def _stream_to_host(proc: SimProcess, pipe_end, msg, op_id: int, sp):
+    """Sink of a full capture: BLCR writes the context through a Snapify-IO
+    descriptor to the host snapshot directory, surviving transient stream
+    faults. Returns the context and its reply fields.
 
     A broken stream (connection reset, link flap, daemon restart) aborts
     the current descriptor — the remote keeps its durable partial — backs
     off per the daemon's :class:`~repro.snapify_io.resilience.RetryPolicy`,
     then re-opens with ``resume=True`` and re-runs the checkpoint; the
-    descriptor silently skips the bytes already durable. Exhausted retries
-    report ``SNAPIFY_FAILED`` over the pipe (a clean operation failure on
-    the host) rather than killing the agent. The fault-free first attempt
-    is event-for-event identical to the pre-resilience code.
+    descriptor silently skips the bytes already durable. The fault-free
+    first attempt is event-for-event identical to the pre-resilience code.
     """
     from ..snapify_io.daemon import SnapifyIODaemon
     from ..snapify_io.resilience import TRANSIENT_ERRORS, RetryPolicy
@@ -149,7 +182,6 @@ def _capture_with_retry(proc: SimProcess, pipe_end, msg, op_id: int, sp):
     path = c.context_path(msg["path"])
     policy = RetryPolicy.from_params(SnapifyIODaemon.of(proc.os).params)
     attempts = max(1, policy.attempts)
-    last_exc = None
     for attempt in range(1, attempts + 1):
         fd = None
         try:
@@ -157,87 +189,60 @@ def _capture_with_retry(proc: SimProcess, pipe_end, msg, op_id: int, sp):
                 proc.os, node=0, path=path, mode="w", proc=proc,
                 span=sp.span_id, resume=attempt > 1,
             )
-            done = cr_request_checkpoint(proc, fd)
-            ctx = yield done
+            ctx = yield cr_request_checkpoint(proc, fd)
             yield from fd.finish()
         except TRANSIENT_ERRORS as exc:
-            last_exc = exc
             if fd is not None and not fd.closed:
                 fd.close()  # abort marker: the remote keeps its partial
             if attempt == attempts:
-                break
+                raise _CaptureFailed(
+                    f"capture stream failed after {attempts} attempts: {exc}"
+                ) from exc
             MetricsRegistry.of(sim).counter("snapifyio.retries").inc()
             sim.trace.emit("io.retry", path=path, channel="snapifyio",
                            attempt=attempt, error=str(exc))
             yield from policy.backoff(sim, attempt)
             continue
-        reply = {"t": c.CAPTURE_COMPLETE, "image_bytes": ctx.image_bytes,
-                 "op_id": op_id, "attempts": attempt, "channel": "snapifyio"}
-        if ctx.plugin_images:
-            reply["plugins"] = len(ctx.plugin_images)
-        yield from pipe_end.send(reply)
-        sp.finish(bytes=ctx.image_bytes)
-        return
-    yield from pipe_end.send(
-        {"t": c.SNAPIFY_FAILED, "op_id": op_id,
-         "reason": f"capture stream failed after {attempts} attempts: {last_exc}"}
-    )
-    sp.finish(error=str(last_exc))
+        return ctx, {"image_bytes": ctx.image_bytes, "attempts": attempt,
+                     "channel": "snapifyio"}
 
 
-def _capture_incremental(proc: SimProcess, pipe_end, msg, op_id: int, sp):
-    """Sub-generator: dirty-page capture into the in-memory partner tier.
+def _store_in_memtier(proc: SimProcess, pipe_end, msg, op_id: int, sp):
+    """Sink of an incremental capture: the next chain link goes to the
+    in-memory partner tier. Returns the link and its reply fields.
 
-    Epoch 0 ships the full base image, later epochs only the pages written
+    Epoch 0 is the full base image, later epochs only the pages written
     since the previous capture (the dirty bitmap decides). The image never
     touches a channel here: it is committed to the local card's memory tier
     copy, then replicated to a partner card — NFS demotion is somebody
-    else's background ticket. Failures (dead process, tier full) report
-    ``SNAPIFY_FAILED`` over the pipe like any other capture failure.
+    else's background ticket. A dead process or a full tier fails the
+    capture.
     """
-    from ..blcr import cr_request_checkpoint_incremental
     from ..hw.memory import MemoryExhausted
     from ..sim.errors import SimError
     from ..snapify_io.memtier import MemoryTier, TierError
 
-    sim = proc.sim
     path = msg["path"]
     try:
-        done = cr_request_checkpoint_incremental(proc, path, fd=None)
-        image = yield done
+        image = yield cr_request_checkpoint(proc, snapshot_id=path)
     except SimError as exc:
-        yield from pipe_end.send(
-            {"t": c.SNAPIFY_FAILED, "op_id": op_id,
-             "reason": f"incremental capture failed: {exc}"}
-        )
-        sp.finish(error=str(exc))
-        return
+        raise _CaptureFailed(f"incremental capture failed: {exc}") from exc
     # Delta harvested and sealed: tell the host before the (potentially
     # slow) partner replication so the operation can show REPLICATING.
     yield from pipe_end.send(
         {"t": c.CAPTURE_REPLICATING, "op_id": op_id, "epoch": image.epoch,
          "delta_bytes": image.delta_bytes}
     )
-    tier = MemoryTier.of(sim)
     try:
-        placement = yield from tier.store(proc.os, path, image,
-                                          span=sp.span_id)
+        placement = yield from MemoryTier.of(proc.sim).store(
+            proc.os, path, image, span=sp.span_id)
     except (TierError, MemoryExhausted) as exc:
-        yield from pipe_end.send(
-            {"t": c.SNAPIFY_FAILED, "op_id": op_id,
-             "reason": f"memory tier store failed: {exc}"}
-        )
-        sp.finish(error=str(exc))
-        return
-    yield from pipe_end.send(
-        {"t": c.CAPTURE_COMPLETE, "image_bytes": image.logical_bytes,
-         "delta_bytes": image.delta_bytes, "epoch": image.epoch,
-         "incremental": True, "tier": "memtier",
-         "partner": placement.get("partner"), "op_id": op_id,
-         "attempts": 1, "channel": "memtier"}
-    )
-    sp.finish(epoch=image.epoch, delta_bytes=image.delta_bytes,
-              logical_bytes=image.logical_bytes)
+        raise _CaptureFailed(f"memory tier store failed: {exc}") from exc
+    return image, {"image_bytes": image.logical_bytes,
+                   "delta_bytes": image.delta_bytes, "epoch": image.epoch,
+                   "incremental": True, "tier": "memtier",
+                   "partner": placement.get("partner"), "attempts": 1,
+                   "channel": "memtier"}
 
 
 def save_local_store(proc: SimProcess, runtime: CardRuntime, snapshot_path: str,

@@ -285,14 +285,6 @@ class HealthReport:
                 if h.latency is not None and scores.get(h.card, 0.0) > z
                 and h.latency - median > min_spread]
 
-    def straggler_zscores(self) -> Dict[str, float]:
-        """Per-card robust z-score of probe latency (diagnostic surface)."""
-        from ..obs.slo import robust_zscores
-
-        return robust_zscores({
-            h.card: h.latency for h in self.healthy if h.latency is not None
-        })
-
     def summary(self) -> str:
         bits = [f"health sweep @ {self.when:.3f}s: {len(self.entries)} cards, "
                 f"{len(self.failed)} failed, {len(self.stragglers())} straggling"]
@@ -495,19 +487,6 @@ class FleetManager:
 
         return self.submit(key, "reseed", work, card=card, priority=priority,
                            proc=coiproc.host_proc)
-
-    def submit_restore(self, key: str, snap: Any, engine: Any, host_proc: Any,
-                       *, card: Optional[CardRef] = None,
-                       priority: int = SWAP) -> FleetTicket:
-        """Swap a previously swapped-out handle back in on ``engine``."""
-        from .usecases import snapify_swapin
-
-        def work():
-            yield from snapify_swapin(snap, engine, host_proc)
-            return snap.op.result
-
-        return self.submit(key, "restore", work, card=card, priority=priority,
-                           proc=host_proc)
 
     # -- the memory tier ------------------------------------------------------
     def memory_tier(self):

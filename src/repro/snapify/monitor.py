@@ -228,11 +228,11 @@ def handle_service(daemon: COIDaemon, ep: ScifEndpoint, msg: Dict[str, Any]):
     if op == c.OP_PAUSE_INIT:
         yield from _handle_pause_init(daemon, svc, ep, msg)
     elif op == c.OP_PAUSE_GO:
-        yield from _handle_simple_forward(daemon, svc, ep, msg, "pause")
+        yield from _handle_forward(daemon, svc, ep, msg, "pause")
     elif op == c.OP_CAPTURE:
-        yield from _handle_capture(daemon, svc, ep, msg)
+        yield from _handle_forward(daemon, svc, ep, msg, "capture")
     elif op == c.OP_RESUME:
-        yield from _handle_simple_forward(daemon, svc, ep, msg, "resume")
+        yield from _handle_forward(daemon, svc, ep, msg, "resume")
     elif op == c.OP_RESTORE:
         yield from _handle_restore(daemon, svc, ep, msg)
     else:  # pragma: no cover - protocol error
@@ -274,9 +274,13 @@ def _handle_pause_init(daemon: COIDaemon, svc: SnapifyService, ep, msg):
     sp.finish()
 
 
-def _handle_simple_forward(daemon, svc: SnapifyService, ep, msg, pipe_op: str):
-    """Forward pause-go / resume to the offload agent over the pipe; the
-    monitor thread relays the completion status back to the host."""
+def _handle_forward(daemon, svc: SnapifyService, ep, msg, pipe_op: str):
+    """Forward pause-go / capture / resume to the offload agent over the
+    pipe; the monitor thread relays the completion status back to the host.
+
+    A capture also records whether the offload process terminates once its
+    context is saved (swap-out), and tells the agent when it is incremental.
+    """
     entry = _entry(daemon, msg["pid"])
     if entry.pipe is None:
         raise SnapifyError(f"{pipe_op}: no pipe to pid {msg['pid']} (pause first)",
@@ -287,32 +291,13 @@ def _handle_simple_forward(daemon, svc: SnapifyService, ep, msg, pipe_op: str):
         req = ActiveRequest(entry=entry, host_ep=ep, op=pipe_op, op_id=key[1])
         svc.active[key] = req
     req.op, req.host_ep = pipe_op, ep
-    req.span_id = msg.get("span", 0)
-    svc.ensure_monitor()
-    yield from entry.pipe.send({"op": pipe_op, "path": msg.get("path"),
-                                "localstore_node": msg.get("localstore_node", 0),
-                                "span": msg.get("span", 0),
-                                "op_id": key[1]})
-
-
-def _handle_capture(daemon, svc: SnapifyService, ep, msg):
-    entry = _entry(daemon, msg["pid"])
-    if entry.pipe is None:
-        raise SnapifyError("capture before pause",
-                           op_id=msg.get("op_id") or None, phase="capture")
-    key = (msg["pid"], msg.get("op_id", 0))
-    req = svc.active.get(key) or ActiveRequest(entry=entry, host_ep=ep,
-                                               op="capture", op_id=key[1])
-    req.op, req.host_ep = "capture", ep
     req.terminate_after = bool(msg.get("terminate"))
     req.span_id = msg.get("span", 0)
-    svc.active[key] = req
     svc.ensure_monitor()
-    fwd = {"op": "capture", "path": msg["path"],
-           "span": msg.get("span", 0),
-           "op_id": key[1]}
+    fwd = {"op": pipe_op, "path": msg.get("path"),
+           "localstore_node": msg.get("localstore_node", 0),
+           "span": msg.get("span", 0), "op_id": key[1]}
     if msg.get("incremental"):
-        # Present only when set: the default pipe message stays identical.
         fwd["incremental"] = True
     yield from entry.pipe.send(fwd)
 
@@ -351,27 +336,23 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
     stage_dir = f"{staging}.restore"
     sub = daemon.sim.trace.span("daemon.restore.localstore_in", parent=sp,
                                 node=ls_node)
-    if ls_node == my_node and phi_os.fs.exists(staging):
+    same_card = ls_node == my_node and phi_os.fs.exists(staging)
+    if same_card:
         f = phi_os.fs.stat(staging)
         records = list(f.payload) if isinstance(f.payload, list) else []
-        meta = records[-1] if records else {"buffers": {}}
-        for buf_id, info in meta["buffers"].items():
-            staged = f"{stage_dir}/buf_{buf_id}"
-            phi_os.fs.create(staged)
-            yield from phi_os.fs.write(staged, info["size"],
-                                       payload=info["payload"])
-        phi_os.fs.unlink(staging)  # release the staging copy
     else:
         ls_fd = yield from snapifyio_open(phi_os, ls_node, staging, "r",
                                           span=sub.span_id)
         records = yield from _drain_read(ls_fd)
         ls_fd.close()
-        meta = records[-1] if records else {"buffers": {}}
-        for buf_id, info in meta["buffers"].items():
-            staged = f"{stage_dir}/buf_{buf_id}"
-            phi_os.fs.create(staged)
-            yield from phi_os.fs.write(staged, info["size"],
-                                       payload=info["payload"])
+    meta = records[-1] if records else {"buffers": {}}
+    for buf_id, info in meta["buffers"].items():
+        staged = f"{stage_dir}/buf_{buf_id}"
+        phi_os.fs.create(staged)
+        yield from phi_os.fs.write(staged, info["size"],
+                                   payload=info["payload"])
+    if same_card:
+        phi_os.fs.unlink(staging)  # release the staging copy
     sub.finish()
 
     # 3. Restart the process image. Incremental snapshots live in the

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.events import Event

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..blcr.context import BULK_CHUNK
+from ..blcr.context import bulk_chunks
 from ..blcr.incremental import DeltaImage
 from ..hw.memory import MemoryExhausted
 from ..obs.registry import MetricsRegistry
@@ -240,15 +240,12 @@ class MemoryTier:
         """Sub-generator: move ``nbytes`` between two cards in chunks,
         raising :class:`TierError` the moment either end dies mid-copy."""
         bw = self._bw_between(src, dst)
-        remaining = nbytes
-        while remaining > 0:
+        for chunk in bulk_chunks(nbytes):
             if not self._healthy(dst):
                 raise TierError(f"partner {dst} died mid-replication")
             if not self._healthy(src):
                 raise TierError(f"source {src} died mid-replication")
-            chunk = min(remaining, BULK_CHUNK)
             yield self.sim.timeout(chunk / bw)
-            remaining -= chunk
 
     # -- capture path ----------------------------------------------------------
     def store(self, os_instance: Any, path: str, image: DeltaImage, *, span: int = 0):
@@ -424,7 +421,7 @@ class MemoryTier:
                 return total
             except TierError as exc:
                 last = exc
-                if attempt <= retries:
+                if attempt < retries:
                     yield self.sim.timeout(backoff * attempt)
         raise last  # noqa: B904 — the retry chain *is* the cause
 

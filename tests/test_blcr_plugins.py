@@ -312,7 +312,7 @@ def test_rdma_windows_refuse_cross_card_migration():
 
 
 # ---------------------------------------------------------------------------
-# COI metadata rides a plugin image, not the annotations dict
+# COI metadata rides a plugin image
 # ---------------------------------------------------------------------------
 
 

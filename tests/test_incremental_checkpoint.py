@@ -10,7 +10,13 @@ runs of the ``incremental:*`` fuzz scenarios.
 
 import pytest
 
-from repro.blcr import ChainError, capture_incremental, reassemble
+from repro.blcr import (
+    ChainError,
+    COIMetadataPlugin,
+    PluginRegistry,
+    capture_incremental,
+    reassemble,
+)
 from repro.calibration import paper_testbed
 from repro.coi import OffloadBinary, OffloadFunction
 from repro.hw import MB
@@ -26,7 +32,8 @@ from repro.snapify import (
 )
 from repro.snapify.fleet import DONE, CardHealth, HealthReport
 from repro.snapify.ops import capture_sequence
-from repro.snapify_io.memtier import TIER_CATEGORY, MemoryTier, chain_path
+from repro.sim import Simulator
+from repro.snapify_io.memtier import TIER_CATEGORY, MemoryTier, TierError, chain_path
 from repro.testbed import XeonPhiFleet, XeonPhiServer
 
 
@@ -209,6 +216,32 @@ def test_noninc_capture_has_no_delta_stats():
     assert result.shipped_bytes == result.sizes["offload_snapshot"] > 0
 
 
+def test_incremental_capture_reports_plugin_images():
+    """An incremental reply counts the link's extra plugin images exactly
+    like a full capture's reply does."""
+    server = XeonPhiServer()
+    env = launch(server)
+    PluginRegistry.of(server.phi_os(0)).register(COIMetadataPlugin())
+    coiproc = env["coiproc"]
+    ops = []
+
+    def driver(sim):
+        for path, incremental in (("/snap/pfull", False), ("/snap/pinc", True),
+                                  ("/snap/pinc", True)):
+            snap = snapify_t(path, coiproc=coiproc, incremental=incremental)
+            yield from capture_sequence(snap)
+            ops.append(snap.op)
+
+    server.run(driver(server.sim))
+    assert [op.incremental for op in ops] == [False, True, True]
+    # One COI-metadata image rides every capture: the full context, the
+    # base link and the delta link.
+    assert [op.plugin_images for op in ops] == [1, 1, 1]
+    assert [op.describe().get("plugin_images") for op in ops] == [1, 1, 1]
+    link = MemoryTier.of(server.sim).lookup("/snap/pinc").links[-1]
+    assert [pi.plugin for pi in link.image.plugin_images] == ["coi_meta"]
+
+
 # ---------------------------------------------------------------------------
 # Restore paths
 # ---------------------------------------------------------------------------
@@ -313,6 +346,33 @@ def test_restore_from_nfs_demoted_chain():
 # ---------------------------------------------------------------------------
 # Fleet plumbing: demotion tickets and health-sweep re-homing
 # ---------------------------------------------------------------------------
+
+
+def test_demote_with_retry_gives_up_without_a_trailing_backoff():
+    """Three attempts, backing off 0.5 s then 1 s between them; the last
+    failure re-raises at once instead of sleeping another 1.5 s."""
+    sim = Simulator()
+    tier = MemoryTier.of(sim)
+    attempts = []
+
+    def failing_demote(path, host_os, release=False):
+        attempts.append(sim.now)
+        raise TierError("export down")
+        yield  # pragma: no cover - makes this a generator
+
+    tier.demote = failing_demote
+    failed_at = []
+
+    def driver():
+        with pytest.raises(TierError, match="export down"):
+            yield from tier.demote_with_retry("/snap/x", None, retries=3, backoff=0.5)
+        failed_at.append(sim.now)
+
+    sim.spawn(driver())
+    sim.run()
+    assert attempts == [0.0, 0.5, 1.5]
+    assert failed_at == [1.5]
+
 
 
 def test_demotion_ticket_runs_at_background_priority():
