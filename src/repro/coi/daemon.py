@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..hw.node import PhiDevice
 from ..osim.process import OSInstance, SimProcess
 from ..scif.endpoint import ConnectionReset, ScifEndpoint, ScifNetwork
 from ..scif.ports import COI_DAEMON_PORT
 from ..sim.errors import Interrupted
+from ..sim.events import Event
 from . import messages as m
 from .buffer import localstore_dir
 from .process import card_main_factory
 from .services import COIError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .pipeline import OffloadBinary
 
 
 @dataclass
@@ -34,8 +32,6 @@ class DaemonEntry:
     host_proc: SimProcess
     offload_proc: SimProcess
     port: int
-    binary: "OffloadBinary"
-    expected_exit: bool = False
     state: str = "running"  # running | terminated | crashed
     #: Daemon-side endpoint of the snapify control pipe (opened at pause).
     pipe: Optional[Any] = None
@@ -97,43 +93,84 @@ class COIDaemon:
 
     # -- per-connection service loop ------------------------------------------------
     def _conn_handler(self, ep: ScifEndpoint):
-        while True:
-            try:
+        try:
+            while True:
                 msg = yield ep.recv()
-            except (ConnectionReset, Interrupted):
-                return  # host process went away; its exit watcher cleans up
-            if not isinstance(msg, dict):
-                raise COIError(f"daemon: bad message {msg!r}")
-            mtype = msg.get("type")
-            if mtype == m.LAUNCH:
-                yield from self._handle_launch(ep, msg)
-            elif mtype == m.SHUTDOWN_PROC:
-                yield from self._handle_shutdown(ep, msg)
-            elif mtype in self.extensions:
-                yield from self.extensions[mtype](self, ep, msg)
-            else:
-                raise COIError(f"daemon: unknown request {mtype!r}")
+                if not isinstance(msg, dict):
+                    raise COIError(f"daemon: bad message {msg!r}")
+                mtype = msg.get("type")
+                if mtype == m.LAUNCH:
+                    yield from self._handle_launch(ep, msg)
+                elif mtype == m.SHUTDOWN_PROC:
+                    yield from self._handle_shutdown(ep, msg)
+                elif mtype in self.extensions:
+                    yield from self.extensions[mtype](self, ep, msg)
+                else:
+                    raise COIError(f"daemon: unknown request {mtype!r}")
+        except Interrupted:
+            return
+        except ConnectionReset:
+            if not ep.peer.closed:
+                raise  # another connection's reset: not this requester's
+            # The requester went away, before its next request or before
+            # our reply; its exit callbacks clean up.
 
     def _handle_launch(self, ep: ScifEndpoint, msg: Dict[str, Any]):
-        binary: "OffloadBinary" = msg["binary"]
-        host_proc: SimProcess = msg["host_proc"]
         port = next(self._ports)
         offload = yield from self.phi_os.spawn_process(
             f"{msg['name']}.offload", image_size=0,
-            main_factory=card_main_factory(binary), start=False,
+            main_factory=card_main_factory(msg["binary"]), start=False,
         )
-        offload.store["_listen_port"] = port
         offload.store["_snapify_enabled"] = msg.get("snapify_enabled", True)
-        listening = self.sim.event(f"listening:{offload.name}")
-        offload.runtime["listening"] = listening
-        entry = DaemonEntry(host_proc=host_proc, offload_proc=offload,
-                            port=port, binary=binary)
-        self.entries[offload.pid] = entry
-        self._watch(entry)
-        offload.start()
-        yield listening  # card runtime is accepting connections
+        entry = DaemonEntry(host_proc=msg["host_proc"], offload_proc=offload, port=port)
+        try:
+            yield from self.start_offload(entry)
+        except COIError as exc:
+            yield from ep.send({"type": m.REPLY, "ok": False, "error": str(exc)})
+            return
         yield from ep.send({"type": m.LAUNCH_OK, "pid": offload.pid, "port": port,
                             "offload_proc": offload})
+
+    def start_offload(self, entry: DaemonEntry):
+        """Sub-generator: the one start path of an offload process, freshly
+        spawned or BLCR-restored (not yet started).
+
+        Starts it, registers and watches ``entry``, and waits until the card
+        runtime listens on ``entry.port``. An offload whose main thread ends
+        before it listens (a crash, or a kill because its host exited) fails
+        that rendezvous: the daemon reaps it and raises :class:`COIError`.
+        """
+        proc = entry.offload_proc
+        listening = self.sim.event(f"listening:{proc.name}")
+        proc.runtime["listening"] = listening
+        proc.store["_listen_port"] = entry.port
+        proc.start()
+        self.entries[proc.pid] = entry
+
+        def on_main_done(done: Event) -> None:
+            if not listening.triggered:
+                listening.fail(COIError(
+                    f"{proc.name} exited before listening: {done.exception!r}"))
+
+        def on_offload_exit(_ev: Event) -> None:
+            if entry.state == "running":
+                # Without Snapify's bookkeeping the daemon "will assume that
+                # the offload process has crashed" (§3).
+                entry.state = "crashed"
+            self._cleanup_localstore(entry)
+
+        proc.main_thread.done.add_callback(on_main_done)
+        proc.exit_event.add_callback(on_offload_exit)
+        # Monitor both ends through the processes' own exit events: an
+        # orphaned offload is terminated and cleaned up (§2), at once if its
+        # host has already exited.
+        entry.host_proc.exit_event.add_callback(
+            lambda _ev: self.terminate_offload(entry, expected=True))
+        try:
+            yield listening  # card runtime is accepting connections
+        except COIError:
+            self.terminate_offload(entry, expected=False)
+            raise
 
     def _handle_shutdown(self, ep: ScifEndpoint, msg: Dict[str, Any]):
         entry = self.entries.get(msg["pid"])
@@ -144,26 +181,7 @@ class COIDaemon:
         yield from ep.send({"type": m.REPLY, "ok": True})
 
     # -- monitoring --------------------------------------------------------------------
-    def _watch(self, entry: DaemonEntry) -> None:
-        def on_host_exit(proc: SimProcess) -> None:
-            if proc is entry.host_proc and entry.offload_proc.alive:
-                # Orphaned offload process: terminate and clean up (§2).
-                self.terminate_offload(entry, expected=True)
-
-        def on_offload_exit(proc: SimProcess) -> None:
-            if proc is not entry.offload_proc:
-                return
-            if entry.state == "running":
-                # Without Snapify's bookkeeping the daemon "will assume that
-                # the offload process has crashed" (§3).
-                entry.state = "terminated" if entry.expected_exit else "crashed"
-            self._cleanup_localstore(entry)
-
-        entry.host_proc.os.exit_watchers.append(on_host_exit)
-        self.phi_os.exit_watchers.append(on_offload_exit)
-
     def terminate_offload(self, entry: DaemonEntry, expected: bool) -> None:
-        entry.expected_exit = expected
         if entry.offload_proc.alive:
             entry.state = "terminated" if expected else "crashed"
             entry.offload_proc.terminate()

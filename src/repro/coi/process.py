@@ -116,19 +116,10 @@ class CardRuntime:
         # The agent must greet the daemon before we block in accept: the
         # daemon only hands the reconnect port to the host after the hello.
         attach_restored_agent(self.proc)
-        try:
-            for buf_id, info in store["buffers"].items():
-                if not self.phi_os.fs.exists(info["path"]):
-                    raise COIError(f"restore: local store file missing: {info['path']}")
-                self._buffers[buf_id] = dict(info)
-        except BaseException as exc:
-            # Dying before _accept_channels fires the listening rendezvous
-            # would leave the daemon waiting on it forever: fail the event
-            # so the restore turns into a clean operation failure.
-            listening = self.proc.runtime.get("listening")
-            if listening is not None and not listening.triggered:
-                listening.fail(COIError(f"restore aborted before listen: {exc}"))
-            raise
+        for buf_id, info in store["buffers"].items():
+            if not self.phi_os.fs.exists(info["path"]):
+                raise COIError(f"restore: local store file missing: {info['path']}")
+            self._buffers[buf_id] = dict(info)
         yield from self._accept_channels(store["_listen_port"])
         self.finish_enter_paused()
         # Re-register every buffer: offsets WILL differ from the originals.
@@ -144,9 +135,7 @@ class CardRuntime:
     def _accept_channels(self, port: int):
         net = ScifNetwork.of(self.proc.os.hw.node)  # type: ignore[attr-defined]
         listener = net.listen(self.proc.os, port)
-        listening = self.proc.runtime.get("listening")
-        if listening is not None and not listening.triggered:
-            listening.succeed(None)
+        self.proc.runtime["listening"].succeed(None)  # the daemon's rendezvous
         try:
             for _ in m.CHANNELS:
                 ep = yield listener.accept()

@@ -19,7 +19,6 @@ from ..coi.daemon import COIDaemon, DaemonEntry
 from ..coi.services import COIError
 from ..obs.registry import MetricsRegistry
 from ..osim.pipes import DuplexPipe, PipeEnd
-from ..osim.process import SimProcess
 from ..osim import signals as sig
 from ..scif.endpoint import ScifEndpoint
 from ..sim.errors import SimError
@@ -383,7 +382,6 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
         proc = yield from cr_restart(phi_os, ctx_fd, start=False)
         ctx_fd.close()
     sub.finish()
-    proc.store["_listen_port"] = port
 
     # The restored process's pid now exists: claim the staged local store
     # under it (metadata-only renames, instantaneous) and point the
@@ -397,31 +395,19 @@ def _handle_restore(daemon: COIDaemon, svc: SnapifyService, ep, msg):
 
     pipe = DuplexPipe(daemon.sim, name=f"snapify-pipe:{proc.pid}")
     proc.runtime["snapify_pipe_pending"] = pipe.b
-    listening = daemon.sim.event(f"listening:{proc.name}")
-    proc.runtime["listening"] = listening
-
-    binary = proc.store.get("_coi_binary")
-    host_proc: SimProcess = msg["host_proc"]
-    entry = DaemonEntry(host_proc=host_proc, offload_proc=proc, port=port, binary=binary)
-    entry.pipe = pipe.a
-    daemon.entries[proc.pid] = entry
-    daemon._watch(entry)
-
-    proc.start()
+    entry = DaemonEntry(host_proc=msg["host_proc"], offload_proc=proc, port=port,
+                        pipe=pipe.a)
     try:
-        yield listening
-        ack = yield pipe.a.recv()  # restored agent announces itself
+        yield from daemon.start_offload(entry)
     except COIError as exc:
-        # The restored process died before reconnecting (e.g. a torn
-        # snapshot whose local store cannot back the buffer table it
-        # captured). Reap it and report a clean failure to the host
-        # instead of waiting on the rendezvous forever.
-        if proc.alive:
-            proc.terminate(code=1)
+        # The restored process died before listening (e.g. a torn snapshot
+        # whose local store cannot back the buffer table it captured): the
+        # daemon reaped it; report a clean failure to the host.
         sp.finish(error=str(exc))
         yield from ep.send({"t": c.SNAPIFY_FAILED, "op_id": msg.get("op_id", 0),
                             "reason": f"restore: {exc}"})
         return
+    ack = yield pipe.a.recv()  # restored agent announces itself
     if ack.get("t") != c.PAUSE_ACK:
         raise SnapifyError(f"restored agent bad hello: {ack!r}",
                            op_id=msg.get("op_id") or None, phase="restore")

@@ -8,9 +8,11 @@ from repro.coi import (
     COIError,
     OffloadBinary,
     OffloadFunction,
+    localstore_dir,
 )
-from repro.hw import MB, HardwareParams, ServerNode
+from repro.hw import GB, MB, HardwareParams, ServerNode
 from repro.osim import boot_node
+from repro.scif import ScifError
 from repro.sim import Simulator
 
 
@@ -299,6 +301,8 @@ def test_host_exit_terminates_offload_and_cleans_localstore():
     daemon = COIDaemon.of(node.phis[0])
     entry = daemon.entries[coiproc.offload_proc.pid]
     assert entry.state == "terminated"
+    # The daemon watches the two processes' own exit events, not the OSes.
+    assert host_os.exit_watchers == [] and phis[0].exit_watchers == []
 
 
 def test_unexpected_offload_death_marked_crashed():
@@ -315,6 +319,53 @@ def test_unexpected_offload_death_marked_crashed():
     daemon = COIDaemon.of(node.phis[0])
     entry = daemon.entries[coiproc.offload_proc.pid]
     assert entry.state == "crashed"
+
+
+def test_oversized_offload_image_fails_launch_with_coi_error():
+    sim, node, host_os, phis = make_env()
+
+    def setup(sim):
+        yield from COIDaemon.boot(node.phis[0])
+        host_proc = yield from host_os.spawn_process("app", image_size=4 * MB)
+        engine = COIEngine(node, 0)
+        # The 8 GiB card cannot map the image: the offload's main thread
+        # dies before it listens, which fails the launch rendezvous.
+        with pytest.raises(COIError, match="MemoryExhausted"):
+            yield from engine.process_create(host_proc, make_binary(image_size=64 * GB))
+        return "ok"
+
+    assert run(sim, setup(sim)) == "ok"
+    sim.run()  # settles: nothing is left waiting on the rendezvous
+    (entry,) = COIDaemon.of(node.phis[0]).entries.values()
+    assert entry.state == "crashed"
+    assert not entry.offload_proc.alive
+
+
+def test_host_exit_during_spawn_reaps_the_offload():
+    sim, node, host_os, phis = make_env()
+    phi_os = phis[0]
+
+    def setup(sim):
+        yield from COIDaemon.boot(node.phis[0])
+        host_proc = yield from host_os.spawn_process("app", image_size=4 * MB)
+        spawn = phi_os.spawn_process
+
+        def spawn_while_host_exits(*args, **kwargs):
+            host_proc.terminate()  # the host exits during the spawn latency
+            return (yield from spawn(*args, **kwargs))
+
+        phi_os.spawn_process = spawn_while_host_exits
+        yield from COIEngine(node, 0).process_create(host_proc, make_binary())
+
+    t = sim.spawn(setup(sim))
+    sim.run()
+    assert isinstance(t.done.exception, ScifError)  # the host side
+    (entry,) = COIDaemon.of(node.phis[0]).entries.values()
+    assert entry.state == "terminated"
+    assert not entry.offload_proc.alive
+    assert phi_os.fs.listdir(localstore_dir(entry.offload_proc.pid)) == []
+    # The reply to the vanished host ends the daemon's handler quietly.
+    assert [th.name for th, _ in sim.failed_threads()] == [t.name]
 
 
 def test_destroy_tears_down_cleanly():

@@ -94,32 +94,6 @@ def test_comm_send_requeues_around_dead_receiver():
     assert comm.messages_dropped == 0
 
 
-def test_comm_drop_stale_waiters_sweeps_only_the_dead():
-    cluster = XeonPhiCluster(n_nodes=2)
-    comm = MPIComm(cluster, 2)
-    out = {}
-
-    def dead_rank(sim):
-        comm.recv(1, 0, "never")  # registered, then the rank moves on
-        yield sim.timeout(0.01)
-
-    def live_rank(sim):
-        out["msg"] = yield comm.recv(0, 1, "later")
-
-    def sender(sim):
-        yield sim.timeout(0.05)
-        # Only the abandoned waiter is swept; the parked live one survives.
-        assert comm.drop_stale_waiters() == 1
-        assert comm.drop_stale_waiters() == 0
-        yield from comm.send(1, 0, "later", 512, payload="ok")
-
-    cluster.sim.spawn(dead_rank(cluster.sim))
-    cluster.sim.spawn(live_rank(cluster.sim))
-    cluster.sim.spawn(sender(cluster.sim))
-    cluster.sim.run()
-    assert out["msg"] == "ok"
-
-
 def test_comm_rank_validation():
     cluster = XeonPhiCluster(n_nodes=2)
     comm = MPIComm(cluster, 2)

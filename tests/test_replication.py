@@ -16,6 +16,7 @@ from repro.check.oracles import (
     no_duplicate_delivery,
     team_membership_consistent,
 )
+from repro.check import scenarios
 from repro.check.scenarios import run_scenario
 from repro.mpi.replication import (
     HeartbeatDetector,
@@ -369,11 +370,32 @@ def test_redundancy_slo_flags_only_degraded_teams():
     ("replication:lagging_replica", 5),
     ("replication:card_failure", 1),
     ("replication:team_wipe", 1),
+    # Seed 20 wipes a team while its offloads are still launching: one host
+    # exits during the daemon's spawn, the other before its offload listens.
+    ("replication:team_wipe", 20),
 ])
 def test_worst_case_replication_seeds_stay_green(scenario, seed):
     result = run_scenario(scenario, seed=seed,
                           faults=default_faults(scenario, seed))
     assert result.ok, result.summary()
+
+
+def test_team_wipe_mid_launch_leaves_no_rendezvous_waiter(monkeypatch):
+    sims = []
+
+    class RecordingSimulator(scenarios.Simulator):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(scenarios, "Simulator", RecordingSimulator)
+    name = "replication:team_wipe"
+    result = run_scenario(name, seed=20, faults=default_faults(name, 20))
+    (sim,) = sims
+    parked = [(e["thread"], e["event"]) for e in sim.wait_for_graph()
+              if e["event"].startswith("listening:")]
+    assert parked == []
+    assert result.outcome == "faulted", result.summary()
 
 
 # ---------------------------------------------------------------------------
